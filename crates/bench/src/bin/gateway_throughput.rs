@@ -33,7 +33,7 @@ use spatial_gateway::service::ServiceHost;
 use spatial_gateway::services::ServingService;
 use spatial_linalg::Matrix;
 use spatial_ml::tree::DecisionTree;
-use spatial_ml::ModelStore;
+use spatial_ml::{Model, ModelStore};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;

@@ -241,6 +241,7 @@ impl ChaosProxy {
                         Ok((mut conn, _)) => {
                             let state = Arc::clone(&thread_state);
                             std::thread::spawn(move || {
+                                let _ = conn.set_nodelay(true);
                                 let _ = conn.set_read_timeout(Some(Duration::from_secs(30)));
                                 let req = match read_request(&mut conn) {
                                     Ok(req) => req,

@@ -28,8 +28,15 @@
 //! always frames the request itself (`host`, `content-length`, `connection`);
 //! caller-supplied headers with those names are dropped rather than emitted as
 //! duplicates the hardened servers reject with 400.
+//!
+//! Every request leaves as one `write_all` of one buffer on a `TCP_NODELAY`
+//! socket. Head and body written separately on a default socket cost a fixed
+//! ~40 ms per request: Nagle holds the second segment until the first is
+//! ACKed, and the upstream delays that ACK waiting for data to piggy-back on.
+//! Each pooled connection keeps its encode buffer, so the steady state
+//! allocates nothing for the write.
 
-use crate::http::{read_response_keep_conn, HttpError, Response};
+use crate::http::{encode_request, read_response_keep_conn, HttpError, Response};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -40,15 +47,9 @@ use std::time::Duration;
 /// Idle connections kept per upstream address.
 const MAX_IDLE_PER_HOST: usize = 8;
 
-/// Header names the client frames itself on every request. Caller-supplied
-/// values for these are dropped: a second `content-length` is the classic
-/// request-smuggling shape the PR-5-hardened servers reject with 400, and a
-/// caller's `connection: close` would silently defeat pooling.
-const RESERVED_HEADERS: [&str; 3] = ["host", "content-length", "connection"];
-
-fn is_reserved_header(name: &str) -> bool {
-    RESERVED_HEADERS.iter().any(|r| name.eq_ignore_ascii_case(r))
-}
+/// Encode-buffer capacity an idle connection may keep. One oversized body must
+/// not pin megabytes per pooled connection for the life of the pool.
+const MAX_RETAINED_WRITE_BUF: usize = 64 << 10;
 
 /// True when `e` is *not* a timeout. A timed-out request may still be draining
 /// or executing server-side, so timeouts never justify a replay; any other
@@ -58,9 +59,11 @@ fn not_a_timeout(e: &std::io::Error) -> bool {
 }
 
 /// One pooled connection: the stream plus its long-lived buffered reader (the
-/// reader must outlive a single response so pipelined bytes are never dropped).
+/// reader must outlive a single response so pipelined bytes are never dropped)
+/// and the buffer each request is encoded into before its single write.
 struct Idle {
     reader: BufReader<TcpStream>,
+    write_buf: Vec<u8>,
 }
 
 /// Connection-reuse counters, mirrored into the gateway's `/metrics`.
@@ -176,8 +179,11 @@ impl PooledClient {
             }
         }
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        // Best effort, as in the reactor's accept path: the request is one
+        // write either way.
+        let _ = stream.set_nodelay(true);
         self.stats.connects.fetch_add(1, Ordering::Relaxed);
-        let mut conn = Idle { reader: BufReader::new(stream) };
+        let mut conn = Idle { reader: BufReader::new(stream), write_buf: Vec::new() };
         let (resp, server_close) = self
             .exchange(&mut conn, method, path, base_headers, attempt_headers, body, timeout)
             .map_err(|(e, _)| e)?;
@@ -213,28 +219,15 @@ impl PooledClient {
             let replayable = not_a_timeout(&e);
             return Err((HttpError::Io(e), replayable));
         }
-        let mut head = String::with_capacity(128);
-        head.push_str(method);
-        head.push(' ');
-        head.push_str(path);
-        head.push_str(" HTTP/1.1\r\nhost: spatial\r\ncontent-length: ");
-        head.push_str(&body.len().to_string());
-        head.push_str("\r\nconnection: keep-alive\r\n");
-        for (name, value) in base_headers.iter().chain(attempt_headers) {
-            if is_reserved_header(name) {
-                continue;
-            }
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
-        let written = stream
-            .write_all(head.as_bytes())
-            .and_then(|()| stream.write_all(body))
-            .and_then(|()| stream.flush());
-        if let Err(e) = written {
+        encode_request(
+            &mut conn.write_buf,
+            method,
+            path,
+            base_headers.iter().chain(attempt_headers),
+            body,
+            true,
+        );
+        if let Err(e) = conn.reader.get_mut().write_all(&conn.write_buf) {
             let replayable = not_a_timeout(&e);
             return Err((HttpError::Io(e), replayable));
         }
@@ -287,7 +280,10 @@ impl PooledClient {
         alive && stream.set_nonblocking(false).is_ok()
     }
 
-    fn checkin(&self, addr: SocketAddr, conn: Idle) {
+    fn checkin(&self, addr: SocketAddr, mut conn: Idle) {
+        if conn.write_buf.capacity() > MAX_RETAINED_WRITE_BUF {
+            conn.write_buf = Vec::new();
+        }
         let mut idle = self.idle.lock();
         let pool = idle.entry(addr).or_default();
         if pool.len() < MAX_IDLE_PER_HOST {
@@ -337,6 +333,38 @@ mod tests {
         assert_eq!(client.stats().connects(), 1, "one connection should serve all requests");
         assert_eq!(client.stats().reuses(), 4);
         assert_eq!(server.stats().accepted_total(), 1);
+    }
+
+    #[test]
+    fn keep_alive_exchange_does_not_wait_for_a_delayed_ack() {
+        // Regression: head and body left as two writes on a socket without
+        // TCP_NODELAY, so from the second request on Nagle held the body until
+        // the server's delayed ACK (~40 ms) released it — 19 × 44 ms here. One
+        // write per request takes a few milliseconds for all twenty.
+        let server = ReactorServer::spawn(|req| HttpResponse::json(req.body)).unwrap();
+        let client = PooledClient::new();
+        let body = vec![b'x'; 3 << 10];
+        let start = std::time::Instant::now();
+        for _ in 0..20 {
+            let resp = client
+                .request(
+                    server.addr(),
+                    "POST",
+                    "/x",
+                    no_headers(),
+                    no_headers(),
+                    &body,
+                    Duration::from_secs(5),
+                )
+                .unwrap();
+            assert_eq!(resp.body, body);
+        }
+        let elapsed = start.elapsed();
+        assert_eq!(client.stats().connects(), 1, "all twenty must share one connection");
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "20 keep-alive exchanges took {elapsed:?}: a timer is back on the request path"
+        );
     }
 
     #[test]

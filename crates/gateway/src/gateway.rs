@@ -241,6 +241,9 @@ struct Route {
     recorder: Arc<LatencyRecorder>,
     /// Per-route request latency in the shared registry, exposed via `/metrics`.
     duration: HistogramHandle,
+    /// Per-route latency of each upstream attempt alone; `duration` minus this
+    /// is the gateway's own time (routing, backoff, recording).
+    upstream_exchange: HistogramHandle,
 }
 
 /// Shared routing table.
@@ -488,6 +491,11 @@ impl ApiGateway {
             "End-to-end gateway request latency in milliseconds, by route",
             &[("route", prefix)],
         );
+        let upstream_exchange = self.state.registry.histogram_with(
+            "spatial_gateway_upstream_exchange_duration_ms",
+            "Latency of one upstream attempt (request written to response read) in milliseconds, by route",
+            &[("route", prefix)],
+        );
         let mut table = self.state.table.write();
         match table.routes.get_mut(prefix) {
             Some(route) => route.upstreams.push(Upstream::new(upstream, circuit)),
@@ -501,6 +509,7 @@ impl ApiGateway {
                         shadow: None,
                         recorder: Arc::new(LatencyRecorder::new(prefix)),
                         duration,
+                        upstream_exchange,
                     },
                 );
             }
@@ -1157,17 +1166,22 @@ fn forward(state: &ForwardState, req: Request) -> Response {
     }
     let _prof = ProfScope::enter(&state.profiler, "gateway.forward");
     let prefix = req.path.trim_start_matches('/').split('/').next().unwrap_or("").to_string();
-    let (recorder, duration) = {
+    let (recorder, duration, upstream_exchange) = {
         let _stage = ProfScope::enter(&state.profiler, "route-resolve");
         let table = state.table.read();
         match table.routes.get(&prefix) {
-            Some(route) => (Arc::clone(&route.recorder), route.duration.clone()),
+            Some(route) => (
+                Arc::clone(&route.recorder),
+                route.duration.clone(),
+                route.upstream_exchange.clone(),
+            ),
             None => {
                 return json_error(404, format!("no route for /{prefix}"));
             }
         }
     };
 
+    let prepare = ProfScope::enter(&state.profiler, "prepare");
     let trace_id = req
         .headers
         .get(TRACE_HEADER)
@@ -1189,11 +1203,13 @@ fn forward(state: &ForwardState, req: Request) -> Response {
     let max_attempts = if idempotent { state.config.retry.max_attempts.max(1) } else { 1 };
     let base_headers = forwardable_headers(&req);
     let shard_key = req.headers.get(SHARD_KEY_HEADER).cloned();
+    drop(prepare);
 
     let mut attempts = 0u32;
     let mut retries = 0u32;
 
     let response = loop {
+        let admit = ProfScope::enter(&state.profiler, "admit");
         // Shed work whose deadline has already passed — including requests that
         // expired while backing off between retries.
         if let Some(d) = deadline {
@@ -1245,9 +1261,11 @@ fn forward(state: &ForwardState, req: Request) -> Response {
         attempt_headers.push((PARENT_SPAN_HEADER.to_string(), attempt_span.span_id().to_string()));
 
         track_in_flight(state, &prefix, index, 1);
+        drop(admit);
         let result = {
             let _stage = ProfScope::enter(&state.profiler, "upstream.attempt");
-            state.client.request(
+            let sent = Instant::now();
+            let result = state.client.request(
                 upstream,
                 &req.method,
                 &req.path,
@@ -1255,8 +1273,11 @@ fn forward(state: &ForwardState, req: Request) -> Response {
                 &attempt_headers,
                 &req.body,
                 timeout,
-            )
+            );
+            upstream_exchange.observe_with_exemplar(sent.elapsed().as_secs_f64() * 1e3, trace_id);
+            result
         };
+        let settle = ProfScope::enter(&state.profiler, "settle");
         track_in_flight(state, &prefix, index, -1);
         // Transport failures count against the breaker; an HTTP response (any
         // status) means the replica is alive.
@@ -1308,6 +1329,7 @@ fn forward(state: &ForwardState, req: Request) -> Response {
             }
         }
         drop(attempt_span);
+        drop(settle);
         {
             let _stage = ProfScope::enter(&state.profiler, "backoff");
             std::thread::sleep(backoff);
@@ -1344,6 +1366,7 @@ fn forward(state: &ForwardState, req: Request) -> Response {
         let _stage = ProfScope::enter(&state.profiler, "shadow");
         maybe_shadow(state, &prefix, &req, &response, &base_headers);
     }
+    let _stage = ProfScope::enter(&state.profiler, "finish");
     root.set_attr("status", code);
     root.set_attr("attempts", attempts.to_string());
     root.set_status(if response.status < 500 { SpanStatus::Ok } else { SpanStatus::Error });

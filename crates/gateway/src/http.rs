@@ -430,6 +430,50 @@ pub(crate) fn read_response_keep_conn(
     Ok((Response { status, body, content_type, headers: extra }, server_close))
 }
 
+/// Header names the clients frame themselves on every request. Caller-supplied
+/// values for these are dropped: a second `content-length` is the classic
+/// request-smuggling shape the PR-5-hardened servers reject with 400, and a
+/// caller's `connection: close` would silently defeat pooling.
+const RESERVED_HEADERS: [&str; 3] = ["host", "content-length", "connection"];
+
+/// Encodes one complete request into `out` (cleared first, capacity kept):
+/// request line, the client-owned `host`/`content-length`/`connection` trio,
+/// the caller's headers in order minus [`RESERVED_HEADERS`], a blank line and
+/// the body. Both clients send the result with a single `write_all` — the one
+/// place a request head is built, and the reason a request is never split
+/// across segments (see DESIGN.md §15, transport rules).
+pub(crate) fn encode_request<'a>(
+    out: &mut Vec<u8>,
+    method: &str,
+    path: &str,
+    headers: impl IntoIterator<Item = &'a (String, String)>,
+    body: &[u8],
+    keep_alive: bool,
+) {
+    out.clear();
+    out.extend_from_slice(method.as_bytes());
+    out.push(b' ');
+    out.extend_from_slice(path.as_bytes());
+    out.extend_from_slice(b" HTTP/1.1\r\nhost: spatial\r\ncontent-length: ");
+    write!(out, "{}", body.len()).expect("writing to a Vec cannot fail");
+    out.extend_from_slice(if keep_alive {
+        b"\r\nconnection: keep-alive\r\n"
+    } else {
+        b"\r\nconnection: close\r\n"
+    });
+    for (name, value) in headers {
+        if RESERVED_HEADERS.iter().any(|r| name.eq_ignore_ascii_case(r)) {
+            continue;
+        }
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(value.as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+}
+
 /// Issues one request over a fresh connection and waits for the response.
 ///
 /// `timeout` bounds connect, read and write individually.
@@ -445,7 +489,9 @@ pub fn request(
 
 /// Like [`request`], with extra headers (e.g. `x-spatial-deadline-ms`) on the wire.
 ///
-/// Header names should be lowercase; values must not contain CR/LF.
+/// Header names should be lowercase; values must not contain CR/LF. `host`,
+/// `content-length` and `connection` are framed by the client and dropped from
+/// `headers`.
 pub fn request_with_headers(
     addr: SocketAddr,
     method: &str,
@@ -455,22 +501,14 @@ pub fn request_with_headers(
     timeout: Duration,
 ) -> Result<Response, HttpError> {
     let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
+    // Best effort, as in the reactor's accept path: the request below is one
+    // write, so a socket that refuses the option still sends it whole.
+    let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    let mut head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: spatial\r\ncontent-length: {}\r\nconnection: close\r\n",
-        body.len()
-    );
-    for (name, value) in headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()?;
+    let mut wire = Vec::with_capacity(128 + body.len());
+    encode_request(&mut wire, method, path, headers, body, false);
+    stream.write_all(&wire)?;
     read_response(&mut stream)
 }
 
@@ -521,6 +559,7 @@ impl HttpServer {
                         Ok((mut conn, _)) => {
                             let handler = Arc::clone(&handler);
                             std::thread::spawn(move || {
+                                let _ = conn.set_nodelay(true);
                                 let _ = conn.set_read_timeout(Some(Duration::from_secs(30)));
                                 let response = match read_request(&mut conn) {
                                     // A handler panic must not kill the connection
@@ -639,6 +678,84 @@ mod tests {
         )
         .unwrap();
         assert_eq!(resp.body, b"250");
+    }
+
+    /// What the two head builders `encode_request` replaced put on the wire:
+    /// `request_with_headers`' head (`connection: close`) and
+    /// `PooledClient::exchange`'s (`connection: keep-alive`), each followed by
+    /// the body. Only the pooled builder dropped reserved names; the one-shot
+    /// one now does too, which no caller could rely on (the servers answer a
+    /// duplicate `content-length` with 400).
+    fn legacy_wire(
+        method: &str,
+        path: &str,
+        headers: &[(String, String)],
+        body: &[u8],
+        keep_alive: bool,
+    ) -> Vec<u8> {
+        let mut head = format!(
+            "{method} {path} HTTP/1.1\r\nhost: spatial\r\ncontent-length: {}\r\nconnection: {}\r\n",
+            body.len(),
+            if keep_alive { "keep-alive" } else { "close" }
+        );
+        for (name, value) in headers {
+            if ["host", "content-length", "connection"].iter().any(|r| name.eq_ignore_ascii_case(r))
+            {
+                continue;
+            }
+            head.push_str(name);
+            head.push_str(": ");
+            head.push_str(value);
+            head.push_str("\r\n");
+        }
+        head.push_str("\r\n");
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(body);
+        wire
+    }
+
+    #[test]
+    fn encoded_request_is_byte_identical_to_the_legacy_head_then_body() {
+        let h = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
+            pairs.iter().map(|(n, v)| (n.to_string(), v.to_string())).collect()
+        };
+        let header_sets = [
+            h(&[]),
+            h(&[("x-spatial-deadline-ms", "250")]),
+            h(&[("x-spatial-trace-id", "00051ace"), ("x-spatial-idempotent", "1"), ("x-k", "")]),
+            // Caller-supplied reserved names, in mixed case, between kept ones.
+            h(&[
+                ("Content-Length", "999"),
+                ("x-spatial-app", "1"),
+                ("CONNECTION", "close"),
+                ("Host", "evil"),
+                ("x-after", "kept"),
+            ]),
+        ];
+        let big = vec![0xA5u8; 3 << 10];
+        let bodies: [&[u8]; 3] = [b"", b"{\"features\":[1.0,-2.5]}", &big];
+        // One buffer across every case, as a pooled connection reuses it: stale
+        // bytes of a longer request must never leak into a shorter one.
+        let mut out = Vec::new();
+        for headers in &header_sets {
+            for body in bodies {
+                for keep_alive in [true, false] {
+                    for (method, path) in [("POST", "/serve/predict"), ("GET", "/x?y=1")] {
+                        encode_request(&mut out, method, path, headers, body, keep_alive);
+                        assert_eq!(
+                            out,
+                            legacy_wire(method, path, headers, body, keep_alive),
+                            "{method} {path} keep_alive={keep_alive} headers={headers:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // The pooled client's two slices are one chained sequence.
+        let (base, attempt) = (&header_sets[3], &header_sets[1]);
+        encode_request(&mut out, "POST", "/p", base.iter().chain(attempt), b"hi", true);
+        let joined: Vec<_> = base.iter().chain(attempt).cloned().collect();
+        assert_eq!(out, legacy_wire("POST", "/p", &joined, b"hi", true));
     }
 
     #[test]

@@ -4,6 +4,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# First, and the one step that needs no registry: benchmark/ builds offline
+# against its vendored stand-ins. A forwarded predict answers in about a
+# millisecond; 10 ms or more means a kernel timer (Nagle x delayed ACK, ~44 ms)
+# is back on the gateway->service hop. See DESIGN.md section 15, transport rules.
+echo "== forwarded-request latency gate (offline build; predict_open p50 < 10 ms, 0 failed) =="
+bash benchmark/run.sh --workload predict_open --seed 7 --seconds 6 --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+run = json.load(sys.stdin)
+correct, failed, attempted = run["correct"], run["failed"], run["attempted"]
+p50 = run["metrics"]["latency_p50_ms"]["value"]
+print(f"correct={correct} failed={failed}/{attempted} latency_p50_ms={p50:.3f}")
+sys.exit(0 if correct and failed == 0 and p50 < 10 else 1)
+'
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

@@ -229,6 +229,32 @@ fn concurrent_load_through_the_gateway_succeeds() {
 }
 
 #[test]
+fn forwarded_requests_do_not_wait_for_a_delayed_ack() {
+    // Regression: the gateway→service hop wrote head and body separately on a
+    // socket without TCP_NODELAY, so every forwarded request after a pooled
+    // connection's first waited out the upstream's ~40 ms delayed ACK
+    // (19 × 44 ms here). The same budget as the pooled client's own test.
+    let host = ServiceHost::spawn(Arc::new(PipelineService::new(2)), 16).unwrap();
+    let gw = ApiGateway::spawn(Duration::from_secs(5)).unwrap();
+    gw.register(host.name(), host.addr());
+    // A 3 KB body the service rejects right after reading it: the exchange is
+    // the cost, not the handler.
+    let body = vec![b'x'; 3 << 10];
+    let start = std::time::Instant::now();
+    for _ in 0..20 {
+        let resp =
+            request(gw.addr(), "POST", "/pipeline/train", &body, Duration::from_secs(5)).unwrap();
+        assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
+    }
+    let elapsed = start.elapsed();
+    assert_eq!(gw.upstream_pool_stats().connects, 1, "the hop must reuse one pooled connection");
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 forwarded requests took {elapsed:?}: a timer is back on the request path"
+    );
+}
+
+#[test]
 fn gateway_isolates_a_dead_service() {
     let (gw, mut hosts, _tab, _grad) = full_cluster();
     // Kill the occlusion service by dropping its host.

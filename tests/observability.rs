@@ -95,6 +95,23 @@ fn a_single_request_is_visible_in_metrics_trace_and_healthz() {
     );
     assert!(text.contains("spatial_gateway_request_duration_ms_count{route=\"reverse\"} 1"));
     assert!(text.contains("spatial_gateway_requests_total{code=\"200\",route=\"reverse\"} 1"));
+    // Upstream time is its own series (one sample per attempt, exemplar = the
+    // request's trace id), so gateway self-time is the difference of two sums.
+    assert!(text.contains("# TYPE spatial_gateway_upstream_exchange_duration_ms histogram"));
+    assert!(
+        text.contains("spatial_gateway_upstream_exchange_duration_ms_count{route=\"reverse\"} 1"),
+        "one attempt, one upstream-exchange sample:\n{text}"
+    );
+    let exchange_exemplar = text
+        .lines()
+        .find(|l| {
+            l.starts_with("spatial_gateway_upstream_exchange_duration_ms_bucket") && l.contains('#')
+        })
+        .expect("an upstream-exchange bucket carries an exemplar");
+    assert!(
+        exchange_exemplar.contains(&format!("trace_id=\"{trace_hex}\"")),
+        "{exchange_exemplar}"
+    );
     // The resilience counters are registered up front, visible even at zero.
     for counter in [
         "spatial_gateway_retries_total",
